@@ -12,12 +12,6 @@ from .dbf import (
     demand_checkpoints,
     processor_demand_test,
 )
-from .multiserver import (
-    MultiServerDecision,
-    MultiServerDecisionManager,
-    RoutingTransport,
-    build_multiserver_mckp,
-)
 from .odm import OffloadingDecision, OffloadingDecisionManager, build_mckp
 from .qpa import qpa_test
 from .schedulability import (
@@ -45,10 +39,6 @@ __all__ = [
     "processor_demand_test",
     "ProcessorDemandResult",
     "qpa_test",
-    "MultiServerDecision",
-    "MultiServerDecisionManager",
-    "RoutingTransport",
-    "build_multiserver_mckp",
     "OffloadAssignment",
     "SchedulabilityResult",
     "theorem3_test",

@@ -24,6 +24,7 @@ from .transport import (
     NeverRespondsTransport,
     OffloadRequest,
     OffloadTransport,
+    RoutingTransport,
     StaircaseTransport,
 )
 from .uniprocessor import Uniprocessor
@@ -42,6 +43,7 @@ __all__ = [
     "DistributionTransport",
     "NeverRespondsTransport",
     "StaircaseTransport",
+    "RoutingTransport",
     "ExecutionTimeModel",
     "WcetModel",
     "UniformScaleModel",

@@ -39,8 +39,6 @@ from .loadgen import (
     run_open_loop,
 )
 from .protocol import (
-    FLAG_MSGPACK,
-    HAVE_MSGPACK,
     HEADER,
     MAGIC,
     WIRE_VERSION,
@@ -54,13 +52,13 @@ from .request import (
     AdmissionResponse,
     build_request_instance,
     scale_response_times,
+    scale_server_benefits,
     task_from_dict,
     task_to_dict,
 )
 from .server import (
     ConnectionLost,
     ODMService,
-    ServerHealth,
     ServiceClient,
     TcpServerControl,
     serve_tcp,
@@ -72,6 +70,7 @@ __all__ = [
     "AdmissionResponse",
     "REQUEST_STATUSES",
     "scale_response_times",
+    "scale_server_benefits",
     "build_request_instance",
     "task_to_dict",
     "task_from_dict",
@@ -82,13 +81,10 @@ __all__ = [
     "ShardSolver",
     "SolveJob",
     "ODMService",
-    "ServerHealth",
     "ConnectionLost",
     "TcpServerControl",
     "serve_tcp",
     "FrameError",
-    "FLAG_MSGPACK",
-    "HAVE_MSGPACK",
     "HEADER",
     "MAGIC",
     "WIRE_VERSION",

@@ -18,7 +18,9 @@ Theorem-3 re-check is written exactly once:
   vice versa), modulo the documented one-quantization-unit boundary.
 
 :func:`measure_serial_baseline` models the no-batching, no-cache serial
-server the latency percentiles are compared against, and
+server the latency percentiles are compared against — running the same
+``solve_dp`` the service runs, so the comparison isolates the serving
+architecture (``solve_dp_reference`` is only the audit oracle) — and
 :func:`percentile` is the linear-interpolated quantile used by every
 latency report.
 """
@@ -29,7 +31,7 @@ from time import perf_counter
 from typing import List, Sequence
 
 from ..core.schedulability import OffloadAssignment, theorem3_test
-from ..knapsack import solve_dp_reference
+from ..knapsack import solve_dp, solve_dp_reference
 from .request import (
     AdmissionRequest,
     AdmissionResponse,
@@ -129,16 +131,17 @@ def measure_serial_baseline(
 ) -> List[float]:
     """Per-request latency of a no-batching, no-cache serial server.
 
-    Each burst's requests are solved one after another with the exact
-    DP; request ``k``'s latency is the queueing sum of solves 0..k —
-    what a client of a naive serial service would observe.
+    Each burst's requests are solved one after another with the
+    service's own exact DP (:func:`solve_dp`); request ``k``'s latency
+    is the queueing sum of solves 0..k — what a client of a naive
+    serial service would observe.
     """
     latencies: List[float] = []
     for burst in bursts:
         elapsed = 0.0
         for request in burst.requests:
             started = perf_counter()
-            solve_dp_reference(
+            solve_dp(
                 build_request_instance(request, request.server_estimates),
                 resolution=resolution,
             )

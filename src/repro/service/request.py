@@ -9,12 +9,14 @@ accuracy ratio: a server currently believed twice as slow doubles every
 candidate ``R_i`` (shrinking the Theorem 3 slack ``D_i − R_i``), a fast
 edge box shrinks them.
 
-The decision problem for one request is exactly the multi-server MCKP
-of :mod:`repro.core.multiserver`: one class per task whose items are
+The decision problem for one request is the topology-mode MCKP of
+:func:`repro.core.odm.build_mckp`: one class per task whose items are
 the local point plus, per *allowed* server, that server's scaled
-feasible benefit points.  :func:`build_request_instance` performs that
-reduction; the service's degradation ladder controls which servers are
-allowed.
+feasible benefit points (:func:`scale_server_benefits`).
+:func:`build_request_instance` performs that reduction for a given set
+of allowed servers; in the service, the breakers of its
+:class:`repro.topology.TopologyDecisionManager` decide which servers
+are allowed.
 
 Everything round-trips through plain-JSON dicts (``to_dict`` /
 ``from_dict``) so the same objects flow through the in-process API and
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.benefit import BenefitFunction, BenefitPoint
-from ..core.multiserver import build_multiserver_mckp
+from ..core.odm import build_mckp
 from ..core.task import OffloadableTask, Task, TaskSet
 from ..knapsack import MCKPInstance
 
@@ -36,6 +38,7 @@ __all__ = [
     "AdmissionResponse",
     "REQUEST_STATUSES",
     "scale_response_times",
+    "scale_server_benefits",
     "build_request_instance",
     "task_to_dict",
     "task_from_dict",
@@ -207,6 +210,24 @@ class AdmissionRequest:
         )
 
 
+def scale_server_benefits(
+    tasks: TaskSet,
+    server_estimates: Mapping[str, float],
+) -> Dict[str, Dict[str, BenefitFunction]]:
+    """``server_id -> {task_id -> scaled BenefitFunction}`` — the
+    topology mapping :func:`~repro.core.odm.build_mckp` consumes, one
+    scaled function per (server, offloadable task), in
+    ``server_estimates`` order."""
+    offloadable = tasks.offloadable_tasks
+    return {
+        server_id: {
+            task.task_id: scale_response_times(task.benefit, scale)
+            for task in offloadable
+        }
+        for server_id, scale in server_estimates.items()
+    }
+
+
 def build_request_instance(
     request: AdmissionRequest,
     allowed_servers: Mapping[str, float],
@@ -218,14 +239,10 @@ def build_request_instance(
     servers; the local-only rung passes an empty mapping, leaving only
     the mandatory local items).
     """
-    server_benefits = {
-        server_id: {
-            task.task_id: scale_response_times(task.benefit, scale)
-            for task in request.tasks.offloadable_tasks
-        }
-        for server_id, scale in allowed_servers.items()
-    }
-    return build_multiserver_mckp(request.tasks, server_benefits)
+    return build_mckp(
+        request.tasks,
+        topology=scale_server_benefits(request.tasks, allowed_servers),
+    )
 
 
 @dataclass(frozen=True)

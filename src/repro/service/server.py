@@ -10,10 +10,14 @@ into an online admission service:
   deduplicated, process-sharded
   :class:`~repro.service.sharding.ShardSolver`;
 * a bounded queue provides backpressure (overflow → ``shed``), and
-  occupancy watermarks plus per-server circuit breakers drive the
-  degradation ladder (:mod:`repro.service.degradation`);
-* **every** admitted response — whatever the rung — is re-verified
-  against Theorem 3 before the future resolves.  The service never
+  occupancy watermarks drive the degradation ladder
+  (:mod:`repro.service.degradation`);
+* routing goes through a
+  :class:`~repro.topology.TopologyDecisionManager`: its per-server
+  circuit breakers prune servers, its ``build_instance`` step reduces
+  each request, and its ``verify`` step turns every solver selection
+  into an admission — re-checking Theorem 3 and each chosen item's
+  demand per server before the future resolves.  The service never
   hands out a deadline guarantee it has not just checked.
 
 The solver layer runs in a worker thread (``asyncio.to_thread``), so
@@ -33,21 +37,21 @@ import asyncio
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.schedulability import OffloadAssignment, theorem3_test
+from ..core.schedulability import theorem3_test
 from ..core.task import OffloadableTask
 from ..knapsack import SolverCache
 from ..observability import Observability
 from ..parallel import SweepRunner
-from ..runtime.health import CircuitBreaker, HealthMonitor
+from ..runtime.health import CircuitBreaker
+from ..topology.routing import TopologyDecisionManager
 from .aio import cancel_and_wait
 from .batching import BatchPolicy, MicroBatcher
 from .degradation import DegradationLevel, DegradationPolicy
 from .protocol import (
-    FLAG_MSGPACK,
-    HAVE_MSGPACK,
     HEADER,
     MAGIC,
     FrameError,
@@ -58,14 +62,13 @@ from .protocol import (
 from .request import (
     AdmissionRequest,
     AdmissionResponse,
-    build_request_instance,
+    scale_server_benefits,
 )
 from .sharding import ShardSolver
 
 __all__ = [
     "ConnectionLost",
     "ODMService",
-    "ServerHealth",
     "ServiceClient",
     "TcpServerControl",
     "serve_tcp",
@@ -82,37 +85,22 @@ class ConnectionLost(ConnectionError):
 
 
 @dataclass
-class ServerHealth:
-    """Health-tracking state for one named server."""
-
-    monitor: HealthMonitor
-    breaker: CircuitBreaker
-    successes: int = 0
-    failures: int = 0
-
-    def record(self, ok: bool, time: float) -> None:
-        self.monitor.record(time, ok)
-        if ok:
-            self.successes += 1
-        else:
-            self.failures += 1
-
-    def close_window(self, window: int) -> str:
-        state = self.breaker.record_window(
-            window, successes=self.successes, failures=self.failures
-        )
-        self.successes = 0
-        self.failures = 0
-        return state
-
-
-@dataclass
 class _Pending:
     """One queued request with its completion future."""
 
     request: AdmissionRequest
     future: "asyncio.Future[AdmissionResponse]"
     enqueued: float = field(default_factory=perf_counter)
+
+
+@dataclass
+class _Plan:
+    """One request's routed solve: the ``(solver, instance, kwargs)``
+    shard entry plus what verification and the response need."""
+
+    entry: Tuple[str, object, Dict[str, object]]
+    benefits: Dict[str, Dict[str, object]]
+    allowed: Dict[str, float]
 
 
 class ODMService:
@@ -135,10 +123,8 @@ class ODMService:
         its registry, events on its bus.
     breaker_kwargs:
         Constructor kwargs for the per-server
-        :class:`~repro.runtime.health.CircuitBreaker` instances.
-    health_window:
-        Sliding window (seconds of outcome time) of the per-server
-        :class:`~repro.runtime.health.HealthMonitor`.
+        :class:`~repro.runtime.health.CircuitBreaker` instances (the
+        routing manager's ``breaker_factory``).
     replica_id:
         This service's identity in a fleet — stamped onto gossip
         beacons (:meth:`beacon`) and ignored for standalone use.
@@ -159,7 +145,6 @@ class ODMService:
         cache: "Optional[SolverCache | bool]" = True,
         observability: Optional[Observability] = None,
         breaker_kwargs: Optional[Dict[str, object]] = None,
-        health_window: float = 10.0,
         replica_id: str = "replica-0",
         dedup_capacity: int = 4096,
     ) -> None:
@@ -194,9 +179,16 @@ class ODMService:
             if observability is not None
             else Observability.disabled()
         )
-        self._breaker_kwargs = dict(breaker_kwargs or {})
-        self._health_window = health_window
-        self._servers: Dict[str, ServerHealth] = {}
+        #: the routing layer: per-server breakers, the routed reduction
+        #: and the verification of every admission (solves go through
+        #: :attr:`shard_solver`, so the manager needs no cache)
+        self.router = TopologyDecisionManager(
+            "dp",
+            breaker_factory=partial(CircuitBreaker, **(breaker_kwargs or {})),
+            resolution=self.resolution,
+        )
+        #: per-server ``[successes, failures]`` of the open window
+        self._outcomes: Dict[str, List[int]] = {}
         self._window_index = 0
         self._outcome_clock = 0.0
 
@@ -219,6 +211,7 @@ class ODMService:
         self._m_latency = reg.histogram("service.solve_latency")
         self._m_dedup = reg.counter("service.dedup_hits")
         self._m_gossip = reg.counter("service.gossip_absorbed")
+        self._m_verify_failures = reg.counter("service.verify_failures")
         if self.cache is not None:
             # surface hit/miss/near-hit counters in the same registry
             # the rest of the service reports through
@@ -272,7 +265,7 @@ class ODMService:
                 break
             self._resolve(
                 pending,
-                self._response(pending, status="shed", batch_size=0),
+                self._response(pending, "shed"),
             )
         self.runner.close()
         self._batcher = None
@@ -315,9 +308,7 @@ class ODMService:
             request, asyncio.get_running_loop().create_future()
         )
         if not self._batcher.offer(pending):
-            response = self._response(
-                pending, status="shed", batch_size=0
-            )
+            response = self._response(pending, "shed")
             self._m_shed.inc()
             if bus.enabled:
                 bus.emit(
@@ -369,22 +360,18 @@ class ODMService:
         future.add_done_callback(_cleanup)
 
     # ------------------------------------------------------------------
-    # health / breaker surface
+    # health / breaker surface (the router's per-server breakers)
     # ------------------------------------------------------------------
-    def _health(self, server_id: str) -> ServerHealth:
-        health = self._servers.get(server_id)
-        if health is None:
-            health = ServerHealth(
-                monitor=HealthMonitor(window=self._health_window),
-                breaker=CircuitBreaker(**self._breaker_kwargs),
-            )
-            self._servers[server_id] = health
-        return health
-
     def breaker_state(self, server_id: str) -> str:
         """Current breaker state (``closed`` for unknown servers)."""
-        health = self._servers.get(server_id)
-        return health.breaker.state if health is not None else "closed"
+        breaker = self.router.breakers.get(server_id)
+        return breaker.state if breaker is not None else "closed"
+
+    def _breaker_states(self) -> Dict[str, str]:
+        return {
+            server_id: breaker.state
+            for server_id, breaker in sorted(self.router.breakers.items())
+        }
 
     def record_outcome(
         self, server_id: str, ok: bool, time: Optional[float] = None
@@ -393,28 +380,30 @@ class ODMService:
         if time is None:
             time = self._outcome_clock
         self._outcome_clock = max(self._outcome_clock, time)
-        self._health(server_id).record(ok, time)
+        self.router.breaker(server_id)
+        counts = self._outcomes.setdefault(server_id, [0, 0])
+        counts[0 if ok else 1] += 1
 
     def close_health_window(self) -> Dict[str, str]:
         """Advance every server's breaker one window; returns states."""
         bus = self.observability.bus
-        states: Dict[str, str] = {}
         window = self._window_index
         self._window_index += 1
-        for server_id in sorted(self._servers):
-            health = self._servers[server_id]
-            before = health.breaker.state
-            after = health.close_window(window)
-            states[server_id] = after
-            if bus.enabled and after != before:
-                bus.emit(
-                    "breaker.state",
-                    self._outcome_clock,
-                    window=window,
-                    old=before,
-                    new=after,
-                    server=server_id,
-                )
+        before = self._breaker_states()
+        self.router.record_window(window, self._outcomes)
+        self._outcomes = {}
+        states = self._breaker_states()
+        if bus.enabled:
+            for server_id, after in states.items():
+                if after != before[server_id]:
+                    bus.emit(
+                        "breaker.state",
+                        self._outcome_clock,
+                        window=window,
+                        old=before[server_id],
+                        new=after,
+                        server=server_id,
+                    )
         return states
 
     def force_level(self, level: Optional[DegradationLevel]) -> None:
@@ -440,10 +429,7 @@ class ODMService:
             "queue_depth": depth,
             "queue_capacity": self.batch_policy.queue_capacity,
             "level": self._level.label,
-            "breakers": {
-                server_id: health.breaker.state
-                for server_id, health in sorted(self._servers.items())
-            },
+            "breakers": self._breaker_states(),
             "shed": self.observability.metrics.value("service.shed"),
         }
 
@@ -467,12 +453,10 @@ class ODMService:
         for server_id, state in sorted(breakers.items()):
             if state not in ("open", "closed"):
                 continue
-            if state == "closed" and str(server_id) not in self._servers:
-                continue  # no local breaker to reclose; don't create one
-            health = self._health(str(server_id))
-            before = health.breaker.state
-            after = health.breaker.apply_remote(
-                str(state), window=self._window_index
+            server_id = str(server_id)
+            before = self.breaker_state(server_id)
+            after = self.router.apply_remote(
+                server_id, state, self._window_index
             )
             if bus.enabled and after != before:
                 bus.emit(
@@ -481,7 +465,7 @@ class ODMService:
                     window=self._window_index,
                     old=before,
                     new=after,
-                    server=str(server_id),
+                    server=server_id,
                     source=f"gossip:{origin}",
                 )
 
@@ -552,6 +536,30 @@ class ODMService:
             self._batcher.depth, self._batcher.capacity
         )
 
+    def _plan(
+        self, request: AdmissionRequest, level: DegradationLevel
+    ) -> Optional[_Plan]:
+        """The routed solve for one request, or ``None`` when every
+        estimated server's breaker is open (or none was estimated) and
+        only the local-only fast path remains."""
+        server_ids = sorted(request.server_estimates)
+        pruned = self.router.pruned(server_ids)
+        allowed = {
+            sid: request.server_estimates[sid]
+            for sid in server_ids
+            if sid not in pruned
+        }
+        if not allowed:
+            return None
+        # one scaled mapping, shared by the reduction and verification
+        benefits = scale_server_benefits(request.tasks, allowed)
+        instance, _ = self.router.build_instance(request.tasks, benefits)
+        if level == DegradationLevel.EXACT:
+            entry = ("dp", instance, {"resolution": self.resolution})
+        else:
+            entry = ("heu_oe", instance, {})
+        return _Plan(entry, benefits, allowed)
+
     async def _process_batch(self, batch: List[_Pending]) -> None:
         assert self._batcher is not None
         bus = self.observability.bus
@@ -574,35 +582,15 @@ class ODMService:
         if level != DegradationLevel.EXACT:
             self._m_degraded.inc()
 
-        # Build per-request solve entries (None = local-only fast path).
-        plans: List[Optional[Tuple[str, object, Dict[str, object]]]] = []
-        alloweds: List[Dict[str, float]] = []
-        for pending in batch:
-            allowed: Dict[str, float] = {}
-            if level != DegradationLevel.LOCAL_ONLY:
-                allowed = {
-                    server_id: scale
-                    for server_id, scale in sorted(
-                        pending.request.server_estimates.items()
-                    )
-                    if self._health(server_id).breaker.allows_offloading
-                }
-            alloweds.append(allowed)
-            if not allowed:
-                plans.append(None)
-                continue
-            if level == DegradationLevel.EXACT:
-                solver_name = "dp"
-                kwargs: Dict[str, object] = {
-                    "resolution": self.resolution
-                }
-            else:
-                solver_name = "heu_oe"
-                kwargs = {}
-            instance = build_request_instance(pending.request, allowed)
-            plans.append((solver_name, instance, kwargs))
+        # Build per-request solve plans (None = local-only fast path).
+        plans: List[Optional[_Plan]] = [
+            None
+            if level == DegradationLevel.LOCAL_ONLY
+            else self._plan(pending.request, level)
+            for pending in batch
+        ]
 
-        entries = [plan for plan in plans if plan is not None]
+        entries = [plan.entry for plan in plans if plan is not None]
         if entries:
             selections = await asyncio.to_thread(
                 self.shard_solver.solve_batch, entries
@@ -610,19 +598,13 @@ class ODMService:
         else:
             selections = []
 
-        cursor = 0
-        for pending, plan, allowed in zip(batch, plans, alloweds):
-            if plan is None:
-                response = self._decide_local_only(
-                    pending, level, len(batch)
-                )
-            else:
-                selection = selections[cursor]
-                cursor += 1
-                response = self._decide_from_selection(
-                    pending, plan, selection, allowed, level, len(batch)
-                )
-            self._resolve(pending, response)
+        answers = iter(selections)
+        for pending, plan in zip(batch, plans):
+            selection = None if plan is None else next(answers)
+            self._resolve(
+                pending,
+                self._decide(pending, plan, selection, level, len(batch)),
+            )
 
         if bus.enabled:
             bus.emit(
@@ -637,126 +619,82 @@ class ODMService:
     # ------------------------------------------------------------------
     # decision assembly
     # ------------------------------------------------------------------
-    def _decide_local_only(
-        self, pending: _Pending, level: DegradationLevel, batch_size: int
+    def _decide(
+        self,
+        pending: _Pending,
+        plan: Optional[_Plan],
+        selection,
+        level: DegradationLevel,
+        batch_size: int,
     ) -> AdmissionResponse:
-        """Admit at the all-local configuration iff Theorem 3 closes.
+        """Assemble one response.
 
-        Soundness: the all-local selection is one particular selection
-        of the exact instance, so admission here implies the exact path
-        would have found *some* feasible selection too.
+        Without a plan (local-only fast path) the request is admitted
+        at the all-local configuration iff Theorem 3 closes — that
+        selection is one particular selection of the exact instance,
+        so admission here implies the exact path would have found
+        *some* feasible selection too.  Otherwise the router's
+        ``verify`` step turns the solver's selection into the
+        admission; no selection, or one that fails verification, is
+        answered ``rejected`` — never an unverified admission.
         """
         tasks = pending.request.tasks
-        check = theorem3_test(tasks, ())
-        if not check.feasible:
-            return self._response(
-                pending,
-                status="rejected",
+        if plan is None:
+            common = dict(
                 degradation=DegradationLevel.LOCAL_ONLY.label,
                 batch_size=batch_size,
                 solver="none",
             )
-        placements = {
-            task.task_id: (None, 0.0) for task in tasks
-        }
-        benefit = sum(
-            task.benefit.local_benefit * task.weight
-            for task in tasks
-            if isinstance(task, OffloadableTask)
-        )
-        return self._response(
-            pending,
-            status="admitted",
-            placements=placements,
-            expected_benefit=benefit,
-            total_demand_rate=check.total_demand_rate,
-            degradation=DegradationLevel.LOCAL_ONLY.label,
-            batch_size=batch_size,
-            solver="none",
-        )
-
-    def _decide_from_selection(
-        self,
-        pending: _Pending,
-        plan: Tuple[str, object, Dict[str, object]],
-        selection,
-        allowed: Mapping[str, float],
-        level: DegradationLevel,
-        batch_size: int,
-    ) -> AdmissionResponse:
-        solver_name, instance, _kwargs = plan
-        if selection is None:
+            check = theorem3_test(tasks, ())
+            if not check.feasible:
+                return self._response(pending, "rejected", **common)
             return self._response(
                 pending,
-                status="rejected",
-                degradation=level.label,
-                batch_size=batch_size,
-                solver=solver_name,
-                allowed_servers=allowed,
+                "admitted",
+                placements={task.task_id: (None, 0.0) for task in tasks},
+                expected_benefit=sum(
+                    task.benefit.local_benefit * task.weight
+                    for task in tasks
+                    if isinstance(task, OffloadableTask)
+                ),
+                total_demand_rate=check.total_demand_rate,
+                **common,
             )
-        placements: Dict[str, Tuple[Optional[str], float]] = {}
-        for cls in instance.classes:
-            server_id, r = selection.item_for(cls.class_id).tag
-            placements[cls.class_id] = (server_id, float(r))
-        assignments = [
-            OffloadAssignment(tid, r)
-            for tid, (_server, r) in placements.items()
-            if r > 0
-        ]
-        check = theorem3_test(pending.request.tasks, assignments)
-        if not check.feasible:
-            # Cannot happen while MCKP weights and Theorem 3 agree; if
-            # they ever diverge the safe answer is rejection, never an
-            # unverified admission.
-            self.observability.metrics.counter(
-                "service.verify_failures"
-            ).inc()
-            return self._response(
-                pending,
-                status="rejected",
-                degradation=level.label,
-                batch_size=batch_size,
-                solver=solver_name,
-                allowed_servers=allowed,
-            )
-        return self._response(
-            pending,
-            status="admitted",
-            placements=placements,
-            expected_benefit=selection.total_value,
-            total_demand_rate=check.total_demand_rate,
+        common = dict(
             degradation=level.label,
             batch_size=batch_size,
-            solver=solver_name,
-            allowed_servers=allowed,
+            solver=plan.entry[0],
+            allowed_servers=plan.allowed,
+        )
+        if selection is None:
+            return self._response(pending, "rejected", **common)
+        try:
+            decision = self.router.verify(tasks, selection, plan.benefits)
+        except AssertionError:
+            # Cannot happen while MCKP weights and Theorem 3 agree; if
+            # they ever diverge the safe answer is rejection.
+            self._m_verify_failures.inc()
+            return self._response(pending, "rejected", **common)
+        return self._response(
+            pending,
+            "admitted",
+            placements=decision.placements,
+            expected_benefit=decision.expected_benefit,
+            total_demand_rate=decision.schedulability.total_demand_rate,
+            **common,
         )
 
     def _response(
-        self,
-        pending: _Pending,
-        status: str,
-        placements: Optional[
-            Mapping[str, Tuple[Optional[str], float]]
-        ] = None,
-        expected_benefit: float = 0.0,
-        total_demand_rate: float = 0.0,
-        degradation: str = DegradationLevel.EXACT.label,
-        batch_size: int = 0,
-        solver: str = "dp",
-        allowed_servers: Optional[Mapping[str, float]] = None,
+        self, pending: _Pending, status: str, **fields
     ) -> AdmissionResponse:
+        """An :class:`AdmissionResponse` for ``pending``; ``fields``
+        are its decision fields (defaults: an empty, exact-rung one)."""
         return AdmissionResponse(
             request_id=pending.request.request_id,
             status=status,
-            placements=dict(placements or {}),
-            expected_benefit=expected_benefit,
-            total_demand_rate=total_demand_rate,
-            degradation=degradation,
-            solver=solver,
-            allowed_servers=dict(allowed_servers or {}),
             latency=perf_counter() - pending.enqueued,
-            batch_size=batch_size,
             replica=self.replica_id,
+            **fields,
         )
 
     def _resolve(
@@ -816,13 +754,12 @@ class ODMService:
                 latency.percentile(99) if latency.count else 0.0
             ),
             "parallel_mode": self.runner.last_mode,
-            "breakers": {
-                server_id: health.breaker.state
-                for server_id, health in sorted(self._servers.items())
-            },
+            "breakers": self._breaker_states(),
             "breaker_remote_trips": {
-                server_id: health.breaker.remote_trips
-                for server_id, health in sorted(self._servers.items())
+                server_id: breaker.remote_trips
+                for server_id, breaker in sorted(
+                    self.router.breakers.items()
+                )
             },
         }
         if self.cache is not None:
@@ -900,8 +837,8 @@ async def serve_tcp(
 
     One port, two framings, negotiated per message by the first byte:
     a :data:`~repro.service.protocol.MAGIC` byte opens a v2
-    length-prefixed binary frame (struct header + compact-JSON or
-    msgpack payload, see :mod:`repro.service.protocol`); anything else
+    length-prefixed binary frame (struct header + compact-JSON
+    payload, see :mod:`repro.service.protocol`); anything else
     is a legacy v1 newline-delimited JSON line (no JSON text starts
     with ``O``, so the dispatch is unambiguous).  Replies always use
     the framing of the request they answer, so legacy clients keep
@@ -923,8 +860,9 @@ async def serve_tcp(
     cleanly after that many seconds even without a shutdown op (CI
     never hangs on a crashed client).
 
-    Input hardening: malformed JSON, non-object records, unknown ops
-    and invalid op arguments each produce a structured
+    Input hardening: malformed JSON, non-object records, v2 frames
+    with a non-zero flags byte, unknown ops and invalid op arguments
+    each produce a structured
     ``{"op": "error"}`` reply and a ``service.wire_error`` trace event
     — never a killed connection task.  An oversized v1 line
     (> ``max_line`` bytes) is scanned past; an oversized v2 frame is
@@ -944,32 +882,18 @@ async def serve_tcp(
         if control is not None:
             control._writers.add(writer)
 
-        async def reply(
-            payload: Dict[str, object], mode: Optional[int]
-        ) -> None:
-            """Send one record framed like the request it answers.
-
-            ``mode`` is ``None`` for v1 (JSON line) or the v2 frame's
-            flag byte; the msgpack bit is honoured only when msgpack is
-            actually importable here (a JSON reply to a msgpack frame
-            is still a valid v2 frame — flags say so).
-            """
-            if mode is None:
-                data = json.dumps(payload).encode("utf-8") + b"\n"
+        async def reply(payload: Dict[str, object], binary: bool) -> None:
+            """Send one record framed like the request it answers:
+            a v2 frame when ``binary``, else a v1 JSON line."""
+            if binary:
+                data = encode_frame(payload)
             else:
-                codec = (
-                    "msgpack"
-                    if (mode & FLAG_MSGPACK) and HAVE_MSGPACK
-                    else "json"
-                )
-                data = encode_frame(payload, codec=codec)
+                data = json.dumps(payload).encode("utf-8") + b"\n"
             async with lock:
                 writer.write(data)
                 await writer.drain()
 
-        async def wire_error(
-            message: str, mode: Optional[int]
-        ) -> None:
+        async def wire_error(message: str, binary: bool) -> None:
             bus = service.observability.bus
             if bus.enabled:
                 bus.emit(
@@ -977,26 +901,22 @@ async def serve_tcp(
                     service._outcome_clock,
                     error=message[:200],
                 )
-            await reply({"op": "error", "error": message}, mode)
+            await reply({"op": "error", "error": message}, binary)
 
-        async def admit(
-            record: Dict[str, object], mode: Optional[int]
-        ) -> None:
+        async def admit(record: Dict[str, object], binary: bool) -> None:
             try:
                 request = AdmissionRequest.from_dict(record["request"])
             except (KeyError, TypeError, ValueError) as exc:
-                await wire_error(f"bad admit request: {exc}", mode)
+                await wire_error(f"bad admit request: {exc}", binary)
                 return
             response = await service.submit(request)
-            await reply({"op": "response", **response.to_dict()}, mode)
+            await reply({"op": "response", **response.to_dict()}, binary)
 
-        async def admit_batch(
-            record: Dict[str, object], mode: Optional[int]
-        ) -> None:
+        async def admit_batch(record: Dict[str, object], binary: bool) -> None:
             raw = record.get("requests")
             if not isinstance(raw, (list, tuple)) or not raw:
                 await wire_error(
-                    "admit_batch needs a non-empty 'requests' list", mode
+                    "admit_batch needs a non-empty 'requests' list", binary
                 )
                 return
             try:
@@ -1004,7 +924,7 @@ async def serve_tcp(
                     AdmissionRequest.from_dict(item) for item in raw
                 ]
             except (KeyError, TypeError, ValueError) as exc:
-                await wire_error(f"bad admit_batch request: {exc}", mode)
+                await wire_error(f"bad admit_batch request: {exc}", binary)
                 return
             responses = await asyncio.gather(
                 *(service.submit(request) for request in requests)
@@ -1014,7 +934,7 @@ async def serve_tcp(
                     "op": "batch_response",
                     "responses": [r.to_dict() for r in responses],
                 },
-                mode,
+                binary,
             )
 
         async def skip_exactly(length: int) -> bool:
@@ -1046,7 +966,7 @@ async def serve_tcp(
                         _, flags, length = decode_header(header)
                     except FrameError as exc:
                         # bad magic/version: framing is lost for good
-                        await wire_error(str(exc), 0)
+                        await wire_error(str(exc), True)
                         break
                     if length > max_line:
                         if not await skip_exactly(length):
@@ -1054,7 +974,7 @@ async def serve_tcp(
                         await wire_error(
                             f"frame exceeds maximum length "
                             f"({max_line} bytes)",
-                            flags,
+                            True,
                         )
                         continue
                     try:
@@ -1064,9 +984,9 @@ async def serve_tcp(
                     try:
                         record = decode_payload(flags, payload)
                     except FrameError as exc:
-                        await wire_error(str(exc), flags)
+                        await wire_error(str(exc), True)
                         continue
-                    mode: Optional[int] = flags
+                    binary = True
                     m_frames.inc()
                 else:
                     # ---- legacy v1 newline-JSON line ----
@@ -1086,7 +1006,7 @@ async def serve_tcp(
                         await wire_error(
                             f"line exceeds maximum length "
                             f"({max_line} bytes)",
-                            None,
+                            False,
                         )
                         continue
                     line = line.strip()
@@ -1095,25 +1015,25 @@ async def serve_tcp(
                     try:
                         record = json.loads(line)
                     except json.JSONDecodeError as exc:
-                        await wire_error(str(exc), None)
+                        await wire_error(str(exc), False)
                         continue
                     if not isinstance(record, dict):
                         await wire_error(
                             "request must be a JSON object with an "
                             "'op' field",
-                            None,
+                            False,
                         )
                         continue
-                    mode = None
+                    binary = False
                     m_lines.inc()
                 op = record.get("op")
                 if op == "admit":
                     tasks.append(
-                        asyncio.create_task(admit(record, mode))
+                        asyncio.create_task(admit(record, binary))
                     )
                 elif op == "admit_batch":
                     tasks.append(
-                        asyncio.create_task(admit_batch(record, mode))
+                        asyncio.create_task(admit_batch(record, binary))
                     )
                 elif op == "outcome":
                     try:
@@ -1123,16 +1043,16 @@ async def serve_tcp(
                             record.get("time"),
                         )
                     except (KeyError, TypeError, ValueError) as exc:
-                        await wire_error(f"bad outcome: {exc}", mode)
+                        await wire_error(f"bad outcome: {exc}", binary)
                         continue
-                    await reply({"op": "ack"}, mode)
+                    await reply({"op": "ack"}, binary)
                 elif op == "window":
                     await reply(
                         {
                             "op": "window",
                             "breakers": service.close_health_window(),
                         },
-                        mode,
+                        binary,
                     )
                 elif op == "gossip":
                     beacon = record.get("beacon")
@@ -1144,7 +1064,7 @@ async def serve_tcp(
                             TypeError,
                             ValueError,
                         ) as exc:
-                            await wire_error(f"bad beacon: {exc}", mode)
+                            await wire_error(f"bad beacon: {exc}", binary)
                             continue
                     gossip_reply: Dict[str, object] = {
                         "op": "gossip",
@@ -1153,7 +1073,7 @@ async def serve_tcp(
                     digest = service.cache_digest()
                     if digest is not None:
                         gossip_reply["cache_digest"] = digest
-                    await reply(gossip_reply, mode)
+                    await reply(gossip_reply, binary)
                 elif op == "cache_sync":
                     try:
                         sync = service.cache_sync_reply(
@@ -1164,17 +1084,17 @@ async def serve_tcp(
                         )
                     except (TypeError, ValueError) as exc:
                         await wire_error(
-                            f"bad cache_sync: {exc}", mode
+                            f"bad cache_sync: {exc}", binary
                         )
                         continue
-                    await reply({"op": "cache_sync", **sync}, mode)
+                    await reply({"op": "cache_sync", **sync}, binary)
                 elif op == "stats":
-                    await reply({"op": "stats", **service.stats()}, mode)
+                    await reply({"op": "stats", **service.stats()}, binary)
                 elif op == "shutdown":
-                    await reply({"op": "bye"}, mode)
+                    await reply({"op": "bye"}, binary)
                     done.set()
                 else:
-                    await wire_error(f"unknown op {op!r}", mode)
+                    await wire_error(f"unknown op {op!r}", binary)
         except (ConnectionError, OSError):
             pass  # peer vanished mid-read/write; nothing to answer
         finally:
@@ -1220,9 +1140,7 @@ class ServiceClient:
     """Async client for :func:`serve_tcp` — v2 binary by default.
 
     ``protocol="binary"`` (default) speaks the length-prefixed v2
-    framing of :mod:`repro.service.protocol` (``codec="msgpack"``
-    selects the msgpack payload codec when that library is installed;
-    the default compact JSON needs nothing).  ``protocol="json"``
+    framing of :mod:`repro.service.protocol`.  ``protocol="json"``
     reproduces the legacy v1 newline-JSON client byte-for-byte — the
     regression pin in the protocol tests drives this mode against a
     current server.  Replies are sniffed per message, so either client
@@ -1250,26 +1168,15 @@ class ServiceClient:
         port: int = 7741,
         default_timeout: Optional[float] = None,
         protocol: str = "binary",
-        codec: str = "json",
     ) -> None:
         if protocol not in ("binary", "json"):
             raise ValueError(
                 f"protocol must be 'binary' or 'json', got {protocol!r}"
             )
-        if codec not in ("json", "msgpack"):
-            raise ValueError(
-                f"codec must be 'json' or 'msgpack', got {codec!r}"
-            )
-        if codec == "msgpack" and not HAVE_MSGPACK:
-            raise ValueError(
-                "codec='msgpack' requires the msgpack package, "
-                "which is not installed"
-            )
         self.host = host
         self.port = port
         self.default_timeout = default_timeout
         self.protocol = protocol
-        self.codec = codec
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -1413,7 +1320,7 @@ class ServiceClient:
         if self._writer is None:
             raise ConnectionLost("client is not connected")
         if self.protocol == "binary":
-            data = encode_frame(payload, codec=self.codec)
+            data = encode_frame(payload)
         else:
             data = json.dumps(payload).encode("utf-8") + b"\n"
         try:

@@ -19,38 +19,76 @@ runtime pieces the single-server stack already has, now *per server*:
 Soundness: item weights are the Theorem 3 demand rates regardless of
 the chosen server, and the §3 guaranteed-result budget is applied with
 the *chosen server's* bound (``server_bounds``), so the schedulability
-guarantee holds for whichever server each task routes to.  ``decide``
-re-verifies this from scratch — both through the generic
+guarantee holds for whichever server each task routes to.
+:meth:`TopologyDecisionManager.verify` re-checks this from scratch —
+both through the generic
 :func:`~repro.core.schedulability.theorem3_test` and through a strict
 per-server recomputation of every chosen item's demand rate.
+
+``decide`` is two public steps around a solve: :meth:`build_instance`
+(prune, then reduce) and :meth:`verify` (selection → verified
+:class:`RoutedDecision`).  The online service
+(:class:`repro.service.ODMService`) runs the same two steps with its
+batched, cached, delta-aware solve in between, so offline routing and
+online admission share one decision path and one set of breakers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..core.benefit import BenefitFunction
-from ..core.multiserver import MultiServerDecision
 from ..core.odm import build_mckp
-from ..core.schedulability import OffloadAssignment, theorem3_test
+from ..core.schedulability import (
+    OffloadAssignment,
+    SchedulabilityResult,
+    theorem3_test,
+)
 from ..core.task import OffloadableTask, TaskSet
-from ..knapsack import SOLVERS, Selection, SolverCache
+from ..knapsack import SOLVERS, MCKPInstance, Selection, SolverCache
 from ..runtime.health import CircuitBreaker
 
 __all__ = ["RoutedDecision", "TopologyDecisionManager"]
 
 
 @dataclass(frozen=True)
-class RoutedDecision(MultiServerDecision):
-    """A :class:`MultiServerDecision` plus the degradation evidence:
-    which servers were pruned (breaker open) when it was made."""
+class RoutedDecision:
+    """Per-task ``(server, R_i)`` selection plus its evidence.
 
+    ``placements`` maps every task id to ``(server_id, response_time)``;
+    local execution is ``(None, 0.0)``.  ``pruned_servers`` lists the
+    servers whose breaker was open (pruned from routing) when the
+    decision was made.
+    """
+
+    placements: Mapping[str, Tuple[Optional[str], float]]
+    expected_benefit: float
+    total_demand_rate: float
+    schedulability: SchedulabilityResult
+    solver: str
     pruned_servers: Tuple[str, ...] = ()
 
     @property
     def degraded(self) -> bool:
         return bool(self.pruned_servers)
+
+    @property
+    def response_times(self) -> Dict[str, float]:
+        """The plain ``task_id -> R_i`` view the scheduler consumes."""
+        return {tid: r for tid, (_, r) in self.placements.items()}
+
+    @property
+    def routes(self) -> Dict[str, str]:
+        """``task_id -> server_id`` for the offloaded tasks only."""
+        return {
+            tid: server
+            for tid, (server, r) in self.placements.items()
+            if server is not None and r > 0
+        }
+
+    def server_of(self, task_id: str) -> Optional[str]:
+        return self.placements[task_id][0]
 
 
 def _effective_tasks(
@@ -147,19 +185,21 @@ class TopologyDecisionManager:
             self.breakers[server_id] = self._breaker_factory()
         return self.breakers[server_id]
 
-    @property
-    def open_servers(self) -> Tuple[str, ...]:
-        """Servers currently pruned from routing (breaker ``open``)."""
+    def pruned(self, server_ids: Iterable[str]) -> Tuple[str, ...]:
+        """The servers among ``server_ids`` whose breaker is open, in
+        the given order.  Every server asked about gets a (closed)
+        breaker on first sight, so it shows up in health reports and
+        gossip before its first outcome arrives."""
         return tuple(
             sid
-            for sid, breaker in self.breakers.items()
-            if not breaker.allows_offloading
+            for sid in server_ids
+            if not self.breaker(sid).allows_offloading
         )
 
     def record_window(
         self,
         window: int,
-        outcomes: Mapping[str, Tuple[int, int]],
+        outcomes: Mapping[str, Sequence[int]],
     ) -> Dict[str, str]:
         """Feed one window of per-server ``(successes, failures)``
         outcome counts; returns the new per-server breaker states.
@@ -168,16 +208,23 @@ class TopologyDecisionManager:
         their breakers still tick (an ``open`` breaker must count down
         its cooldown even while pruned, or it could never probe again).
         """
-        states: Dict[str, str] = {}
-        for sid, breaker in self.breakers.items():
-            successes, failures = outcomes.get(sid, (0, 0))
-            states[sid] = breaker.record_window(window, successes, failures)
-        for sid, (successes, failures) in outcomes.items():
-            if sid not in states:
-                states[sid] = self.breaker(sid).record_window(
-                    window, successes, failures
-                )
-        return states
+        for sid in outcomes:
+            self.breaker(sid)
+        return {
+            sid: breaker.record_window(window, *outcomes.get(sid, (0, 0)))
+            for sid, breaker in self.breakers.items()
+        }
+
+    def apply_remote(self, server_id: str, state: str, window: int) -> str:
+        """Fold a peer's gossiped breaker state for ``server_id`` in
+        (:meth:`CircuitBreaker.apply_remote`); returns the local state.
+
+        A remote ``closed`` for a server with no local breaker is
+        ignored rather than creating one: there is nothing to re-close.
+        """
+        if state == "closed" and server_id not in self.breakers:
+            return "closed"
+        return self.breaker(server_id).apply_remote(state, window=window)
 
     # ------------------------------------------------------------------
     # decisions
@@ -188,24 +235,12 @@ class TopologyDecisionManager:
         server_benefits: Mapping[str, Mapping[str, BenefitFunction]],
         server_bounds: Optional[Mapping[str, Mapping[str, float]]] = None,
     ) -> RoutedDecision:
-        """One routed decision over the surviving servers.
-
-        Open-breaker servers contribute no items (their choice groups
-        are pruned); the local item always survives, so the fully
-        degraded instance is exactly the local-only reduction.
-        """
+        """One routed decision over the surviving servers:
+        :meth:`build_instance`, solve (through the cache when one is
+        attached), then :meth:`verify`."""
         tasks.validate()
-        pruned = tuple(
-            sid for sid in server_benefits if sid in self.open_servers
-        )
-        allowed = (
-            None if not pruned else set(server_benefits) - set(pruned)
-        )
-        instance = build_mckp(
-            tasks,
-            topology=server_benefits,
-            allowed_servers=allowed,
-            server_bounds=server_bounds,
+        instance, pruned = self.build_instance(
+            tasks, server_benefits, server_bounds
         )
         if self.cache is not None:
             selection: Optional[Selection] = self.cache.solve(
@@ -221,13 +256,59 @@ class TopologyDecisionManager:
                 "no feasible selection although the all-local "
                 "configuration is feasible; this indicates a solver bug"
             )
+        return self.verify(
+            tasks, selection, server_benefits, server_bounds, pruned
+        )
+
+    def build_instance(
+        self,
+        tasks: TaskSet,
+        server_benefits: Mapping[str, Mapping[str, BenefitFunction]],
+        server_bounds: Optional[Mapping[str, Mapping[str, float]]] = None,
+    ) -> Tuple[MCKPInstance, Tuple[str, ...]]:
+        """The routed MCKP over the servers whose breaker is not open,
+        plus the pruned servers.
+
+        Open-breaker servers contribute no items (their choice groups
+        are pruned); the local item always survives, so the fully
+        degraded instance is exactly the local-only reduction.
+        """
+        pruned = self.pruned(server_benefits)
+        allowed = (
+            None if not pruned else set(server_benefits) - set(pruned)
+        )
+        instance = build_mckp(
+            tasks,
+            topology=server_benefits,
+            allowed_servers=allowed,
+            server_bounds=server_bounds,
+        )
+        return instance, pruned
+
+    def verify(
+        self,
+        tasks: TaskSet,
+        selection: Selection,
+        server_benefits: Mapping[str, Mapping[str, BenefitFunction]],
+        server_bounds: Optional[Mapping[str, Mapping[str, float]]] = None,
+        pruned: Tuple[str, ...] = (),
+    ) -> RoutedDecision:
+        """Turn a selection of a :meth:`build_instance` instance into a
+        verified :class:`RoutedDecision`.
+
+        Raises :class:`AssertionError` unless the decision passes both
+        the generic Theorem 3 test (each routed task budgeted with its
+        chosen server's §3 bound) and a strict per-server
+        recomputation of every chosen item's demand rate.
+        """
         placements: Dict[str, Tuple[Optional[str], float]] = {}
-        for cls in instance.classes:
-            server_id, r = selection.item_for(cls.class_id).tag
+        for cls in selection.instance.classes:
+            server_id, r = cls.items[selection.choices[cls.class_id]].tag
             placements[cls.class_id] = (server_id, float(r))
 
-        self._verify(tasks, server_benefits, server_bounds, placements,
-                     selection)
+        self._verify_demand(
+            tasks, server_benefits, server_bounds, placements, selection
+        )
         assignments = [
             OffloadAssignment(tid, r)
             for tid, (server, r) in placements.items()
@@ -250,7 +331,7 @@ class TopologyDecisionManager:
             pruned_servers=pruned,
         )
 
-    def _verify(
+    def _verify_demand(
         self,
         tasks: TaskSet,
         server_benefits: Mapping[str, Mapping[str, BenefitFunction]],
@@ -266,9 +347,9 @@ class TopologyDecisionManager:
         selection's weight and the capacity.
         """
         total = 0.0
-        by_id = {task.task_id: task for task in tasks}
-        for tid, (server_id, r) in placements.items():
-            task = by_id[tid]
+        for task in tasks:
+            tid = task.task_id
+            server_id, r = placements[tid]
             if server_id is None or r <= 0:
                 total += task.wcet / min(task.period, task.deadline)
                 continue

@@ -17,8 +17,6 @@ import pytest
 
 from repro.observability import Observability
 from repro.service import (
-    FLAG_MSGPACK,
-    HAVE_MSGPACK,
     HEADER,
     MAGIC,
     WIRE_VERSION,
@@ -349,7 +347,6 @@ class TestGoldenFrames:
     def test_header_layout_is_pinned(self):
         assert MAGIC == b"OD"
         assert WIRE_VERSION == 2
-        assert FLAG_MSGPACK == 0x01
         assert HEADER.size == 8
         assert HEADER.format == ">2sBBI"
 
@@ -497,15 +494,18 @@ class TestAdversarialFrames:
         assert replies[0]["op"] == "error"
         assert replies[1]["op"] == "stats"
 
-    @pytest.mark.skipif(
-        HAVE_MSGPACK, reason="msgpack installed: flag is honoured"
-    )
     def test_msgpack_flag_without_msgpack_is_a_structured_error(self):
-        frame = HEADER.pack(MAGIC, WIRE_VERSION, FLAG_MSGPACK, 2) + b"{}"
-        replies, _, _ = self.run_raw(frame + GOLDEN_V2_STATS, reads=2)
-        assert replies[0]["op"] == "error"
-        assert "msgpack" in replies[0]["error"]
-        assert replies[1]["op"] == "stats"
+        """Any non-zero flags byte — the retired msgpack bit 0x01 or an
+        unassigned bit like 0x02 — gets a structured error, and the
+        exactly-consumed frame leaves the connection usable."""
+        for flags in (0x01, 0x02):
+            frame = HEADER.pack(MAGIC, WIRE_VERSION, flags, 2) + b"{}"
+            replies, _, _ = self.run_raw(
+                frame + GOLDEN_V2_STATS, reads=2
+            )
+            assert replies[0]["op"] == "error"
+            assert f"flags 0x{flags:02x}" in replies[0]["error"]
+            assert replies[1]["op"] == "stats"
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,12 @@ from repro.service import (
     AdmissionRequest,
     BatchPolicy,
     DegradationLevel,
+    LoadGenConfig,
     ODMService,
+    generate_bursts,
+    scale_server_benefits,
 )
+from repro.topology import TopologyDecisionManager
 from repro.workloads.generator import random_offloading_task_set
 
 
@@ -212,6 +216,78 @@ def test_open_breaker_removes_server_from_routing():
         assert after.degradation == "exact"
 
     run(scenario())
+
+
+def test_service_decides_through_the_topology_manager():
+    """One decision path: with one server's breaker forced open, every
+    exact-rung response equals ``TopologyDecisionManager.decide`` on
+    the same scaled per-server benefits — through the service's
+    batching, dedup, cache and delta solves."""
+    resolution = 2_000
+    config = LoadGenConfig(seed=5, bursts=6, churn_rate=0.35)
+    requests = [
+        request
+        for burst in generate_bursts(config)
+        for request in burst.requests
+    ]
+
+    async def scenario():
+        service = small_service(
+            resolution=resolution,
+            breaker_kwargs={"min_samples": 1},
+            batch_policy=BatchPolicy(
+                max_batch=8, max_wait=0.001, queue_capacity=256
+            ),
+        )
+        async with service:
+            service.record_outcome("flaky", False, 1.0)
+            assert service.close_health_window()["flaky"] == "open"
+            service.force_level(DegradationLevel.EXACT)
+            return await asyncio.gather(
+                *(service.submit(r) for r in requests)
+            )
+
+    responses = run(scenario())
+    manager = TopologyDecisionManager("dp", resolution=resolution)
+    breaker = manager.breaker("flaky")
+    breaker.record_window(0, 0, breaker.min_samples)
+    assert len(requests) >= 20
+    for request, response in zip(requests, responses):
+        benefits = scale_server_benefits(
+            request.tasks, dict(sorted(request.server_estimates.items()))
+        )
+        decision = manager.decide(request.tasks, benefits)
+        assert decision.pruned_servers == ("flaky",)
+        assert response.degradation == "exact" and response.admitted
+        assert response.placements == decision.placements
+        assert response.expected_benefit == decision.expected_benefit
+        assert response.allowed_servers == {
+            sid: scale
+            for sid, scale in request.server_estimates.items()
+            if sid not in decision.pruned_servers
+        }
+
+
+def test_failed_verification_rejects_and_counts():
+    """A selection that fails the router's verification is answered
+    ``rejected`` (never admitted, never raised) and counted."""
+
+    async def scenario():
+        async with small_service() as service:
+            def refuse(*args, **kwargs):
+                raise AssertionError("forced verification failure")
+
+            service.router.verify = refuse
+            response = await service.submit(make_request("unverified"))
+            failures = service.observability.metrics.value(
+                "service.verify_failures"
+            )
+            return response, failures
+
+    response, failures = run(scenario())
+    assert response.status == "rejected"
+    assert response.placements == {}
+    assert failures == 1
 
 
 def test_stop_with_drain_answers_everything():

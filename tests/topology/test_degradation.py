@@ -141,7 +141,7 @@ class TestRecovery:
         # probe window closes the breaker again
         manager.record_window(1, {})
         assert breaker.state == "half_open"
-        assert "edge" not in manager.open_servers
+        assert "edge" not in manager.pruned(manager.breakers)
         manager.record_window(2, {"edge": (breaker.min_samples, 0)})
         assert breaker.state == "closed"
 
@@ -176,7 +176,7 @@ class TestRecovery:
             {"edge": (0, breaker.min_samples), "cloud": (3, 0)},
         )
         assert states == {"edge": "open", "cloud": "closed"}
-        assert manager.open_servers == ("edge",)
+        assert manager.pruned(manager.breakers) == ("edge",)
         # absent servers still tick: the open breaker cools down
         states = manager.record_window(1, {})
         assert states["edge"] == "half_open"

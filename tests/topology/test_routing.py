@@ -131,4 +131,4 @@ class TestDecide:
         states = manager.record_window(0, {"edge": (3, 0)})
         assert states == {"edge": "closed"}
         assert "edge" in manager.breakers
-        assert manager.open_servers == ()
+        assert manager.pruned(manager.breakers) == ()
